@@ -387,8 +387,9 @@ class RebuildGeometryUpdater:
     The Sec. 5 schemes compile their plans from driver-private traversal
     records with no incremental patch path, so every update re-runs the
     driver's geometry build (through its ``_rebuild_geometry_state``
-    hook) on the session's device and swaps the state in; the zero-
-    motion no-op and position validation still short-circuit.  The hook
+    hook, the same helper ``prepare()`` runs, position upload included)
+    on the session's device and swaps the state in; the zero-motion
+    no-op and position validation still short-circuit.  The hook
     returns ``(GeometryState, basis)`` -- shells that cache a
     downward-pass basis adopt the fresh one from the result.
     """
@@ -423,8 +424,6 @@ class RebuildGeometryUpdater:
                 core, new_src, new_tgt, phases
             )
             core.geometry = state
-            core.device.upload(new_src.nbytes, label="source data")
-            phases.setup += core.device.take_phase()
             core.update_scratch_bytes = 0
         return GeometryUpdateResult(
             rebuilt=True, reason="extension sessions rebuild wholesale",

@@ -218,23 +218,16 @@ def precompute_moments(
     device but skips the numerical tensor contractions; used by the
     large-scale benchmark harnesses where only the timing model is
     exercised.
+
+    Composed of :func:`prepare_moment_grids` (without a cached basis)
+    and one :func:`refresh_moments`.
     """
-    charges = _as_moment_charges(charges, tree.n_particles, "particles")
-    moments = ClusterMoments(params.degree)
-    n_ip = params.n_interpolation_points
-    for node in tree.nodes:
-        if params.size_check and not (n_ip < node.count):
-            continue
-        moments.node_ids.add(node.index)
-        if numerics:
-            grid = cluster_grid(node, params.degree)
-            idx = tree.node_indices(node)
-            qhat = modified_charges(tree.positions[idx], charges[idx], grid)
-            moments.grids[node.index] = grid
-            moments.qhat[node.index] = qhat
-        if device is not None:
-            _charge_moment_kernels(device, node, params, n_ip)
-    return moments
+    moments = prepare_moment_grids(
+        tree, params, numerics=numerics, cache_basis=False
+    )
+    return refresh_moments(
+        moments, tree, charges, params, device=device, numerics=numerics
+    )
 
 
 def _charge_moment_kernels(device, node, params, n_ip) -> None:

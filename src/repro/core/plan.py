@@ -569,15 +569,6 @@ class ExecutionPlan:
         return self.src_points is not None
 
     @property
-    def shared_sources(self) -> bool:
-        """True when segments alias de-duplicated source buffers.
-
-        Every numerics plan is compiled this way now; the property is
-        kept for introspection (model-only plans report False).
-        """
-        return self.seg_src_lo is not None
-
-    @property
     def source_buffer_rows(self) -> int:
         """Physical rows actually stored (de-duplicated; <= logical rows)."""
         return 0 if self.src_points is None else int(self.src_points.shape[0])
@@ -1224,9 +1215,7 @@ class PlanBuilder:
     the same ``share_key`` store their rows once and alias them through
     per-segment offsets.  Callers can skip re-gathering a cluster's
     arrays entirely by checking :meth:`has_shared` first -- a repeated
-    key needs no ``points``/``weights`` at all.  (``shared_sources`` is
-    accepted as a deprecated no-op; the duplicated-rows layout it used
-    to toggle has been retired.)
+    key needs no ``points``/``weights`` at all.
 
     ``deferred_weights=True`` compiles a geometry-only skeleton: every
     stored segment supplies ``points`` and a ``share_key`` but no
@@ -1240,7 +1229,6 @@ class PlanBuilder:
         out_size: int,
         *,
         numerics: bool = True,
-        shared_sources: bool | None = None,  # deprecated no-op
         deferred_weights: bool = False,
         batched: bool = False,
     ) -> None:
@@ -1411,7 +1399,6 @@ def compile_plan(
     params: "TreecodeParams",
     *,
     numerics: bool = True,
-    shared_sources: bool | None = None,  # deprecated no-op
     deferred_weights: bool = False,
     batched: bool = False,
 ) -> ExecutionPlan:
@@ -1427,8 +1414,7 @@ def compile_plan(
 
     The source buffers are always de-duplicated: each cluster's rows
     are stored once however many batches reference it (per-segment
-    offsets alias the single copy).  ``shared_sources`` is accepted as
-    a deprecated no-op.
+    offsets alias the single copy).
 
     ``deferred_weights=True`` compiles the geometry-only skeleton used
     by :meth:`~repro.core.treecode.BarycentricTreecode.prepare`:

@@ -292,9 +292,9 @@ class SessionCore:
         self.update_scratch_bytes = 0
         #: Length of the charge vectors this session accepts.
         self.n_charges = int(n_charges)
-        #: Extra bytes the first apply uploads (the monolithic
-        #: pipeline ships the full source data once); 0 means every
-        #: apply uploads only the charges.
+        #: Extra bytes the first apply uploads alongside the charges
+        #: (the source positions, for drivers whose prepare does not
+        #: ship them); 0 means every apply uploads only the charges.
         self.first_upload_nbytes = int(first_upload_nbytes)
         #: Whether precompute downloads the modified charges (the BLTC
         #: drivers do; the dual-tree scheme consumes them on-device).
@@ -415,9 +415,9 @@ class SessionCore:
     ) -> None:
         """Charge upload + moment kernels; closes the precompute phase.
 
-        The first apply ships ``first_upload_nbytes`` extra (the full
-        source data, exactly as the monolithic pipelines do); later
-        applies re-ship only the charge block.  When the geometry
+        The first apply ships ``first_upload_nbytes`` extra (with the
+        charges, the full source data); later applies re-ship only the
+        charge block.  When the geometry
         carries moment grids the paper's two moment kernels run (and,
         for drivers that read the modified charges back, their DtH
         copy is charged per RHS column).

@@ -31,9 +31,7 @@ charge-dependence boundary:
    backend-independent.
 
 :meth:`BarycentricTreecode.compute` is exactly ``prepare()`` followed
-by one ``apply()`` -- byte-identical results, counters and phase times
-to the monolithic pipeline it replaces -- while MD time-stepping and
-BEM-style multi-RHS solves call ``prepare()`` once and ``apply()`` per
+by one ``apply()``, while MD time-stepping and BEM-style multi-RHS solves call ``prepare()`` once and ``apply()`` per
 charge vector, amortizing every charge-independent phase.  An apply
 also accepts an ``(N, n_rhs)`` charge *block*: the plan's weight slots
 widen to ``(k, n_rhs)`` and every backend evaluates all columns in one
@@ -162,14 +160,12 @@ class BarycentricTreecode:
         prohibitive.
 
         Implemented as :meth:`prepare` + one
-        :meth:`PreparedTreecode.apply` -- identical results, counters
-        and phase times to the pre-session monolithic pipeline.  Use the
-        two-stage form directly for repeated evaluation on fixed
-        geometry.
+        :meth:`PreparedTreecode.apply`.  Use the two-stage form directly
+        for repeated evaluation on fixed geometry.
         """
         # cache_basis=False: a one-shot run uses each cluster's basis
         # matrices once, so holding them all simultaneously would only
-        # regress peak memory vs. the monolithic pipeline.
+        # raise peak memory.
         prepared = self.prepare(
             sources, targets, dry_run=dry_run, cache_basis=False
         )
@@ -385,9 +381,8 @@ class PreparedTreecode:
     ``(N, n_rhs)`` block of them in a single traversal: the setup phase
     was charged once at prepare time, so an apply charges only the
     charge upload, the moment kernels and the compute phase.  Device counters
-    accumulate over the session (the first apply therefore reports
-    exactly the numbers of a monolithic ``compute()``); per-apply cost
-    is in the returned ``phases``.
+    accumulate over the session (the first apply's counters are those
+    of ``compute()``); per-apply cost is in the returned ``phases``.
 
     Attributes of interest: ``phases`` (the setup cost charged at
     prepare), ``n_applies``, and the captured ``tree`` / ``batches`` /
@@ -524,8 +519,7 @@ class PreparedTreecode:
     ) -> TreecodeResult:
         """Evaluate the prepared geometry for one or many charge vectors.
 
-        Uploads the charges (the first apply ships the full source data
-        exactly as the monolithic pipeline's precompute phase does;
+        Uploads the charges (the first apply ships the full source data;
         later applies re-ship only the charge vector), recomputes the
         modified charges on the cached cluster grids, refreshes the
         plan's weight buffer in place, and executes through the

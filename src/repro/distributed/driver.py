@@ -5,27 +5,33 @@ substrates, one simulated GPU per rank:
 
 1.  RCB domain decomposition assigns each rank its particles.
 2.  Each rank builds a local source tree and target batches     [setup]
-3.  HtD source copy; modified-charge kernels; DtH moments       [precompute]
-4.  Ranks expose tree array / particles / moments in RMA windows.
-5.  Each rank gets remote tree arrays, builds interaction
-    lists, and fills its LET via RMA gets                       [setup]
-6.  HtD LET copy; each rank's merged local+LET work is compiled
-    into an execution plan and run by the configured backend
-    (``params.backend``; ``dry_run`` forces the model backend);
+3.  Ranks expose tree arrays and particle positions in RMA
+    windows; each rank gets the remote tree arrays, builds
+    interaction lists, gets the positions its LET needs, and
+    compiles its merged local+LET plan skeleton                 [setup]
+4.  HtD source copy; modified-charge kernels; DtH moments;
+    ranks expose charges and moments, and each rank gets its
+    LET's remote charges and modified charges via RMA           [precompute]
+5.  The configured backend (``params.backend``; ``dry_run``
+    forces the model backend) runs each rank's plan;
     DtH potentials                                              [compute]
 
+Steps 1-3 are :meth:`DistributedBLTC.prepare`; steps 4-5 are one
+:meth:`PreparedDistributedBLTC.apply`, and ``compute()`` is exactly the
+two in sequence.
+
 Rank programs are executed sequentially but deterministically; passive-
-target RMA means the interleaving cannot change any value read (windows
-are read-only after exposure).  The per-rank simulated clocks advance
+target RMA means the interleaving cannot change any value read (no
+window is written while ranks read it).  The per-rank simulated clocks advance
 with device work, host work, and modeled communication time; the run
-time is aggregated with the one true dependency barrier -- a rank's LET
-gets require every peer to have exposed its moments:
+time is aggregated with the one true dependency barrier -- a rank's
+compute requires every peer to have exposed its moments:
 
     T = max_r(setup_local_r + precompute_r)
         + max_r(let_setup_r + compute_r)
 
 ``overlap_comm=True`` models the paper's future-work item of overlapping
-communication with computation: each rank hides its LET communication
+communication with computation: each rank hides its LET charge re-ship
 behind its own precompute phase to the extent possible.
 """
 
@@ -38,7 +44,7 @@ import numpy as np
 from ..config import DEFAULT_PARAMS, TreecodeParams
 from ..core.backends import get_backend
 from ..core.interaction_lists import build_interaction_lists
-from ..core.moments import precompute_moments, prepare_moment_grids
+from ..core.moments import prepare_moment_grids
 from ..core.plan import PlanBuilder
 from ..core.session import (
     DistributedWeightSource,
@@ -58,7 +64,7 @@ from ..tree.batches import TargetBatches
 from ..tree.octree import ClusterTree
 from ..util import as_charge_block
 from ..workloads import ParticleSet
-from .letree import build_let, build_let_geometry, refresh_let_charges
+from .letree import build_let_geometry, refresh_let_charges
 
 __all__ = ["DistributedBLTC", "PreparedDistributedBLTC", "DistributedResult"]
 
@@ -73,7 +79,9 @@ class DistributedResult:
     potential: np.ndarray
     #: Per-rank simulated phase times.
     rank_phases: list[PhaseTimes]
-    #: Per-rank modeled communication seconds (contained in setup).
+    #: Per-rank modeled communication seconds, cumulative over the
+    #: session (LET geometry gets in setup, charge re-ships in
+    #: precompute).
     comm_seconds: list[float]
     #: Wall-clock seconds of the whole simulation (diagnostic).
     wall_seconds: float
@@ -132,8 +140,8 @@ class DistributedBLTC:
     machine : per-rank device spec (default: the P100s of Figs. 5-6).
     comm_model : interconnect alpha-beta model.
     async_streams : asynchronous kernel queueing per device.
-    overlap_comm : hide LET communication behind precompute (Sec. 5
-        future work).
+    overlap_comm : hide the LET charge re-ship behind precompute
+        (Sec. 5 future work).
     axis_policy : RCB axis selection ("longest" or "cycle").
     """
 
@@ -179,166 +187,25 @@ class DistributedBLTC:
         the floating-point kernels are skipped -- used by the weak/strong
         scaling benchmarks at paper scale.  Otherwise the backend named
         by ``params.backend`` executes each rank's compiled plan.
+
+        Implemented as :meth:`prepare` + one
+        :meth:`PreparedDistributedBLTC.apply`: per-rank phases are the
+        prepare phases plus the apply phases, and ``phase_split`` is the
+        prepare-time split, so ``total_seconds`` applies the
+        precompute/LET barrier to the whole run.  The LET's remote
+        charges and modified charges therefore travel in the precompute
+        phase, and the charges cross to each device in their own upload.
         """
-        params = self.params
-        backend = get_backend("model" if dry_run else params.backend)
-        n = particles.n
-        if n < self.n_ranks:
-            raise ValueError(
-                f"{n} particles cannot be split over {self.n_ranks} ranks"
-            )
-        watch = Stopwatch()
-        with watch:
-            comm = SimComm(self.n_ranks, comm_model=self.comm_model)
-            labels = rcb_partition(
-                particles.positions, self.n_ranks, axis_policy=self.axis_policy
-            )
-            rank_idx = [
-                np.nonzero(labels == r)[0] for r in range(self.n_ranks)
-            ]
-            devices = [
-                make_device(self.machine, async_streams=self.async_streams)
-                for _ in range(self.n_ranks)
-            ]
-            phases = [PhaseTimes() for _ in range(self.n_ranks)]
-            split = [
-                {"setup_local": 0.0, "let_setup": 0.0}
-                for _ in range(self.n_ranks)
-            ]
-            trees: list[ClusterTree] = []
-            batch_sets: list[TargetBatches] = []
-            moment_sets = []
-
-            # -- phase A: local trees and batches (setup) ---------------
-            for r in range(self.n_ranks):
-                local = particles.subset(rank_idx[r])
-                tree = ClusterTree(
-                    local.positions,
-                    params.max_leaf_size,
-                    aspect_ratio_splitting=params.aspect_ratio_splitting,
-                    shrink_to_fit=params.shrink_to_fit,
-                )
-                batches = TargetBatches(
-                    local.positions,
-                    params.max_batch_size,
-                    aspect_ratio_splitting=params.aspect_ratio_splitting,
-                    shrink_to_fit=params.shrink_to_fit,
-                )
-                dev = devices[r]
-                dev.host_work(local.n * 2 * (tree.max_level + 1))
-                dt = dev.take_phase()
-                phases[r].setup += dt
-                split[r]["setup_local"] += dt
-                trees.append(tree)
-                batch_sets.append(batches)
-
-            # -- phase B: moments on-device (precompute) ----------------
-            for r in range(self.n_ranks):
-                dev = devices[r]
-                local = particles.subset(rank_idx[r])
-                dev.upload(local.nbytes(), label="source data")
-                moments = precompute_moments(
-                    trees[r], local.charges, params, device=dev,
-                    numerics=backend.needs_numerics,
-                )
-                mbytes = (
-                    moments.n_clusters
-                    * params.n_interpolation_points
-                    * FLOAT_BYTES
-                )
-                dev.download(mbytes, label="modified charges")
-                phases[r].precompute += dev.take_phase()
-                moment_sets.append(moments)
-
-            # -- expose RMA windows --------------------------------------
-            for r in range(self.n_ranks):
-                tree = trees[r]
-                local = particles.subset(rank_idx[r])
-                handle = comm.rank_handle(r)
-                handle.create_window("tree", tree.tree_array())
-                handle.create_window("srcpos", local.positions[tree.perm])
-                handle.create_window("srcq", local.charges[tree.perm])
-                handle.create_window(
-                    "moments", moment_sets[r].packed(len(tree))
-                )
-
-            # -- phase C: LET construction (setup) -----------------------
-            lets = []
-            local_lists = []
-            for r in range(self.n_ranks):
-                dev = devices[r]
-                handle = comm.rank_handle(r)
-                comm_before = float(comm.clocks[r])
-                let, mac_evals = build_let(handle, batch_sets[r], params)
-                comm_delta = float(comm.clocks[r]) - comm_before
-                lists = build_interaction_lists(
-                    batch_sets[r], trees[r], params
-                )
-                dev.host_work((mac_evals + lists.mac_evals) * 4)
-                dev.comm_wait(comm_delta)
-                dev.upload(
-                    let.nbytes()
-                    + particles.subset(rank_idx[r]).positions.nbytes,
-                    label="targets + LET",
-                )
-                dt = dev.take_phase()
-                if self.overlap_comm:
-                    # Hide communication behind this rank's own precompute
-                    # (paper Sec. 5 future work); cannot hide more than
-                    # either quantity.
-                    hidden = min(comm_delta, phases[r].precompute)
-                    dt = max(dt - hidden, 0.0)
-                phases[r].setup += dt
-                split[r]["let_setup"] += dt
-                lets.append(let)
-                local_lists.append(lists)
-
-            # -- phase D: potential evaluation (compute) -----------------
-            potential = np.zeros(n, dtype=np.float64)
-            forces = (
-                np.zeros((n, 3), dtype=np.float64) if compute_forces else None
-            )
-            comm_totals = []
-            for r in range(self.n_ranks):
-                dev = devices[r]
-                local = particles.subset(rank_idx[r])
-                plan = self._compile_rank_plan(
-                    trees[r],
-                    batch_sets[r],
-                    moment_sets[r],
-                    local_lists[r],
-                    lets[r],
-                    local.charges,
-                    numerics=backend.needs_numerics,
-                )
-                phi_local, f_local = backend.execute(
-                    plan,
-                    self.kernel,
-                    dev,
-                    dtype=params.dtype,
-                    compute_forces=compute_forces,
-                )
-                dev.download(phi_local.nbytes, label="potentials")
-                if f_local is not None:
-                    dev.download(f_local.nbytes, label="forces")
-                phases[r].compute += dev.take_phase()
-                potential[rank_idx[r]] = phi_local
-                if forces is not None:
-                    forces[rank_idx[r]] = f_local
-                comm_totals.append(float(comm.clocks[r]))
-
-            stats = self._stats(
-                comm, trees, batch_sets, local_lists, lets, devices
-            )
-            stats["phase_split"] = split
-        return DistributedResult(
-            potential=potential,
-            rank_phases=phases,
-            comm_seconds=comm_totals,
-            wall_seconds=watch.elapsed,
-            stats=stats,
-            forces=forces,
+        session = self._prepare(particles, dry_run=dry_run, cache_basis=False)
+        result = session.apply(
+            particles.charges, compute_forces=compute_forces, dry_run=dry_run
         )
+        result.rank_phases = [
+            p + q for p, q in zip(session.phases, result.rank_phases)
+        ]
+        result.stats["phase_split"] = result.stats.pop("prepare_split")
+        result.wall_seconds += session.wall_seconds
+        return result
 
     # ------------------------------------------------------------------
     def prepare(
@@ -360,6 +227,14 @@ class DistributedBLTC:
         ``dry_run=True`` prepares a model-only session (every apply runs
         the timing model; structure-only plans, no coordinate gathers).
         """
+        return self._prepare(particles, dry_run=dry_run, cache_basis=True)
+
+    def _prepare(
+        self, particles: ParticleSet, *, dry_run: bool, cache_basis: bool
+    ) -> "PreparedDistributedBLTC":
+        """Body of :meth:`prepare`; one-shot :meth:`compute` passes
+        ``cache_basis=False`` (each cluster's Lagrange basis is used
+        once, so caching it would only raise peak memory)."""
         params = self.params
         backend_spec = "model" if dry_run else params.backend
         backend = get_backend(backend_spec)
@@ -416,7 +291,10 @@ class DistributedBLTC:
                 # Charge-independent moment state (grids + cached basis;
                 # the moment kernels themselves are charged per apply).
                 moment_sets.append(
-                    prepare_moment_grids(tree, params, numerics=numerics)
+                    prepare_moment_grids(
+                        tree, params, numerics=numerics,
+                        cache_basis=cache_basis,
+                    )
                 )
 
             # -- expose the geometry windows ----------------------------
@@ -458,8 +336,7 @@ class DistributedBLTC:
             plans = [
                 self._compile_rank_plan(
                     trees[r], batch_sets[r], moment_sets[r],
-                    local_lists[r], lets[r], None,
-                    numerics=numerics, deferred_weights=True,
+                    local_lists[r], lets[r], numerics=numerics,
                 )
                 for r in range(self.n_ranks)
             ]
@@ -499,12 +376,11 @@ class DistributedBLTC:
         moments,
         local_lists,
         let,
-        charges: np.ndarray | None,
         *,
         numerics: bool = True,
-        deferred_weights: bool = False,
     ):
-        """Compile one rank's merged (local + LET) work into a plan.
+        """Compile one rank's merged (local + LET) work into a
+        geometry-only plan skeleton.
 
         Per batch the approximation segments come first (local clusters,
         then each remote rank's in ascending rank order), then the direct
@@ -515,25 +391,16 @@ class DistributedBLTC:
         Every (local or remote) cluster's rows are stored once per rank
         plan however many batches list it; share keys carry the owning
         rank so distinct ranks' clusters never collide -- and double as
-        the weight-refresh keys of the prepared session, which compiles
-        with ``deferred_weights=True`` (geometry only; ``charges`` may
-        be None and the LET may hold positions without charge payloads
-        yet).
+        the weight-refresh keys through which each apply fills the
+        weight buffer (the LET may hold positions without charge
+        payloads yet).
         """
-        deferred = bool(deferred_weights) and numerics
-        if charges is not None:
-            charges = np.asarray(charges, dtype=np.float64)
-            if charges.ndim not in (1, 2):
-                raise ValueError(
-                    "charges must be a vector or an (n, n_rhs) block; "
-                    f"got shape {charges.shape!r}"
-                )
         n_ip = self.params.n_interpolation_points
         remote_ranks = sorted(let.lists)
         builder = PlanBuilder(
             batches.n_targets,
             numerics=numerics,
-            deferred_weights=deferred,
+            deferred_weights=True,
             batched=self.params.batched,
         )
         for b in range(len(batches)):
@@ -549,10 +416,7 @@ class DistributedBLTC:
                         builder.add_segment("approx", share_key=key)
                         continue
                     builder.add_segment(
-                        "approx",
-                        points=moments.grid(c).points,
-                        weights=None if deferred else moments.charges(c),
-                        share_key=key,
+                        "approx", points=moments.grid(c).points, share_key=key
                     )
                 for s in remote_ranks:
                     for c in let.lists[s].approx[b]:
@@ -561,11 +425,9 @@ class DistributedBLTC:
                         if builder.has_shared(key):
                             builder.add_segment("approx", share_key=key)
                             continue
-                        grid, qhat = let.approx_data[s][c]
+                        grid, _ = let.approx_data[s][c]
                         builder.add_segment(
-                            "approx", points=grid.points,
-                            weights=None if deferred else qhat,
-                            share_key=key,
+                            "approx", points=grid.points, share_key=key
                         )
                 for c in local_lists.direct[b]:
                     c = int(c)
@@ -573,11 +435,9 @@ class DistributedBLTC:
                     if builder.has_shared(key):
                         builder.add_segment("direct", share_key=key)
                         continue
-                    idx = tree.node_indices(c)
                     builder.add_segment(
                         "direct",
-                        points=tree.positions[idx],
-                        weights=None if deferred else charges[idx],
+                        points=tree.positions[tree.node_indices(c)],
                         share_key=key,
                     )
                 for s in remote_ranks:
@@ -587,11 +447,9 @@ class DistributedBLTC:
                         if builder.has_shared(key):
                             builder.add_segment("direct", share_key=key)
                             continue
-                        pos, q = let.direct_data[s][c]
+                        pos, _ = let.direct_data[s][c]
                         builder.add_segment(
-                            "direct", points=pos,
-                            weights=None if deferred else q,
-                            share_key=key,
+                            "direct", points=pos, share_key=key
                         )
             else:
                 builder.add_group(size=batches.batch(b).count)
@@ -658,9 +516,9 @@ class PreparedDistributedBLTC:
     upload, the moment kernels on the cached grids, the RMA gets of
     remote charges and modified charges, and the compute phase.  Rank
     devices and the communicator persist across applies (counters and
-    RMA statistics accumulate; the first apply therefore reports exactly
-    the numbers of a monolithic ``compute()``); per-apply cost is in the
-    returned ``rank_phases``, whose setup component is always zero.
+    RMA statistics accumulate; the first apply's counters are those of
+    ``compute()``); per-apply cost is in the returned ``rank_phases``,
+    whose setup component is always zero.
     """
 
     def __init__(
@@ -793,14 +651,13 @@ class PreparedDistributedBLTC:
         apply of ``charges[:, j]``.
 
         Per rank: upload the local charges (the first apply ships the
-        full local particle data, as the monolithic precompute does),
-        re-run the moment kernels on the cached grids, re-expose the
+        full local particle data), re-run the moment kernels on the cached grids, re-expose the
         charge windows, get the LET's remote charges/modified charges
         (the only RMA traffic of an apply), refresh the rank plan's
         weight buffer in place, and execute through the session backend.
         With ``overlap_comm`` the re-ship communication hides behind the
-        rank's own precompute, mirroring the monolithic driver's
-        treatment of LET communication.  The returned result's phases
+        rank's own precompute (the paper's Sec. 5 future-work item).
+        The returned result's phases
         carry no setup time -- that was charged at prepare -- so
         ``total_seconds`` reduces to the precompute/compute barrier of
         this apply alone.
@@ -874,8 +731,8 @@ class PreparedDistributedBLTC:
                 dt = dev.take_phase()
                 if driver.overlap_comm:
                     # Hide the re-ship behind this rank's own precompute
-                    # (the monolithic driver's Sec. 5 treatment of LET
-                    # communication).
+                    # (paper Sec. 5 future work); cannot hide more than
+                    # either quantity.
                     hidden = min(comm_delta, phases[r].precompute)
                     dt = max(dt - hidden, 0.0)
                 phases[r].precompute += dt

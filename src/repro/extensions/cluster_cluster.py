@@ -46,7 +46,7 @@ from ..config import DEFAULT_PARAMS, TreecodeParams
 from ..core.backends import get_backend
 from ..core.dynamic import GeometryUpdateResult, RebuildGeometryUpdater
 from ..core.mac import mac_geometric
-from ..core.moments import precompute_moments, prepare_moment_grids
+from ..core.moments import prepare_moment_grids
 from ..core.plan import PlanBuilder
 from ..core.session import (
     DualTreeWeightSource,
@@ -83,9 +83,9 @@ class DualTreeTreecode:
     """Barycentric cluster-cluster treecode (dual tree traversal).
 
     ``max_leaf_size`` caps the source tree, ``max_batch_size`` the target
-    tree (mirroring the BLTC's NL/NB roles).  ``compute`` evaluates one
-    charge vector end-to-end; ``prepare``/``apply`` split the pipeline
-    along the charge-dependence boundary for repeated evaluation.
+    tree (mirroring the BLTC's NL/NB roles).  ``prepare``/``apply`` split
+    the evaluation along the charge-dependence boundary for repeated
+    evaluation; ``compute`` is ``prepare`` + one ``apply``.
     """
 
     def __init__(
@@ -222,22 +222,15 @@ class DualTreeTreecode:
                 ("direct", ("particles", si), g.s_tree.nodes[si].count)
             )
 
-    def _compile_plan(
-        self,
-        g: _DTGeometry,
-        moments,
-        charges: np.ndarray | None,
-        *,
-        numerics: bool,
-        deferred: bool = False,
-    ):
-        """Compile the four pair classes into one execution plan."""
+    def _compile_plan(self, g: _DTGeometry, moments, *, numerics: bool):
+        """Compile the four pair classes into one geometry-only plan;
+        each apply fills the weights through the segments' share keys."""
         params = self.params
         n_ip = params.n_interpolation_points
         builder = PlanBuilder(
             g.n_targets + n_ip * len(g.t_grids),
             numerics=numerics,
-            deferred_weights=deferred and numerics,
+            deferred_weights=True,
             batched=params.batched,
         )
         g.grid_slot = {}
@@ -271,18 +264,46 @@ class DualTreeTreecode:
                 what, si = skey
                 if what == "moments":
                     pts = moments.grid(si).points
-                    wts = None if deferred else moments.charges(si)
                 else:
-                    s_idx = g.s_tree.node_indices(si)
-                    pts = g.source_pos[s_idx]
-                    wts = None if deferred else charges[s_idx]
-                builder.add_segment(
-                    kind, points=pts, weights=wts, share_key=skey
-                )
+                    pts = g.source_pos[g.s_tree.node_indices(si)]
+                builder.add_segment(kind, points=pts, share_key=skey)
         return builder.build()
 
-    def _downward_basis(self, g: _DTGeometry) -> dict:
-        return downward_basis(g.t_tree, g.t_grids, g.target_pos)
+    def _build_geometry_state(
+        self, source_pos, target_pos, device, phases, *,
+        numerics: bool, cache_basis: bool,
+    ):
+        """Build the full charge-independent geometry on ``device``.
+
+        The body of :meth:`prepare`, shared with the rebuild updater:
+        charges the setup phase for both tree builds, the position
+        upload (charges travel per apply) and the dual traversal, then
+        builds the source clusters' Chebyshev grids (with the Lagrange
+        basis when ``cache_basis``), the receiving groups, the plan
+        skeleton and the downward interpolation basis.  Returns
+        ``(GeometryState, basis)``.
+        """
+        g = self._build_trees(source_pos, target_pos)
+        device.host_work(
+            source_pos.shape[0] * (g.s_tree.max_level + 1)
+            + target_pos.shape[0] * (g.t_tree.max_level + 1)
+        )
+        phases.setup += device.take_phase()
+        device.upload(source_pos.nbytes + target_pos.nbytes)
+        self._traverse(g)
+        device.host_work(g.mac_evals * 4)
+        phases.setup += device.take_phase()
+        moments = prepare_moment_grids(
+            g.s_tree, self.params, numerics=numerics, cache_basis=cache_basis
+        )
+        self._build_groups(g)
+        plan = self._compile_plan(g, moments, numerics=numerics)
+        basis = (
+            downward_basis(g.t_tree, g.t_grids, g.target_pos)
+            if numerics else {}
+        )
+        state = GeometryState(plan=plan, tree=g.s_tree, moments=moments, aux=g)
+        return state, basis
 
     # -- dynamic-geometry hooks (see repro.core.dynamic) ----------------
     def _session_positions(self, core):
@@ -291,35 +312,14 @@ class DualTreeTreecode:
         return g.source_pos, g.target_pos
 
     def _rebuild_geometry_state(self, core, source_pos, target_pos, phases):
-        """Rebuild the full geometry on the session's device.
-
-        Charges the same setup work as :meth:`prepare` (the updater
-        adds the source-position upload) and returns the new state plus
-        the refreshed downward basis for the shell to adopt.
-        """
-        device = core.device
-        numerics = core.geometry.plan.has_numerics
-        g = self._build_trees(source_pos, target_pos)
-        device.host_work(
-            source_pos.shape[0] * (g.s_tree.max_level + 1)
-            + target_pos.shape[0] * (g.t_tree.max_level + 1)
+        """Rebuild the full geometry on the session's device, charging
+        the same setup work as :meth:`prepare`."""
+        moments = core.geometry.moments
+        return self._build_geometry_state(
+            source_pos, target_pos, core.device, phases,
+            numerics=core.geometry.plan.has_numerics,
+            cache_basis=bool(moments.basis) or not moments.grids,
         )
-        phases.setup += device.take_phase()
-        device.upload(target_pos.nbytes)
-        self._traverse(g)
-        device.host_work(g.mac_evals * 4)
-        phases.setup += device.take_phase()
-        moments = prepare_moment_grids(g.s_tree, self.params,
-                                       numerics=numerics)
-        self._build_groups(g)
-        plan = self._compile_plan(
-            g, moments, None, numerics=numerics, deferred=True
-        )
-        basis = self._downward_basis(g) if numerics else {}
-        state = GeometryState(
-            plan=plan, tree=g.s_tree, moments=moments, aux=g
-        )
-        return state, basis
 
     def _downward_pass(
         self, g, basis, out_flat, out, device, *, numerics: bool = True
@@ -350,72 +350,25 @@ class DualTreeTreecode:
             "busy_by_kind": dict(c.busy_by_kind),
         }
 
-
     # ------------------------------------------------------------------
     def compute(
         self,
         sources: ParticleSet,
         targets: np.ndarray | ParticleSet | None = None,
     ) -> TreecodeResult:
-        """Potential at every target due to all sources."""
-        params = self.params
-        target_pos = target_positions(sources, targets)
-        backend = get_backend(params.backend)
-        device = make_device(self.machine, async_streams=self.async_streams)
-        phases = PhaseTimes()
-        watch = Stopwatch()
+        """Potential at every target due to all sources.
 
-        with watch:
-            # -- setup: both trees ---------------------------------------
-            g = self._build_trees(sources.positions, target_pos)
-            device.host_work(
-                sources.n * (g.s_tree.max_level + 1)
-                + target_pos.shape[0] * (g.t_tree.max_level + 1)
-            )
-            phases.setup += device.take_phase()
+        Implemented as :meth:`prepare` + one
+        :meth:`PreparedDualTree.apply`; the phases are the prepare
+        phases plus the apply phases.  The one-shot run does not cache
+        the source clusters' Lagrange basis (each is used once).
+        """
+        session = self._prepare(sources, targets, cache_basis=False)
+        result = session.apply(sources.charges)
+        result.phases = session.phases + result.phases
+        result.wall_seconds += session.wall_seconds
+        return result
 
-            # -- precompute: source-side modified charges ----------------
-            device.upload(sources.nbytes() + target_pos.nbytes)
-            moments = precompute_moments(
-                g.s_tree, sources.charges, params, device=device,
-                numerics=backend.needs_numerics,
-            )
-            phases.precompute += device.take_phase()
-
-            # -- setup: dual traversal -> classified pair lists ----------
-            self._traverse(g)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            # -- plan + compute: backend evaluates the plan --------------
-            self._build_groups(g)
-            plan = self._compile_plan(
-                g, moments, sources.charges,
-                numerics=backend.needs_numerics,
-            )
-            out_flat, _ = backend.execute(
-                plan, self.kernel, device, dtype=params.dtype
-            )
-            phases.compute += device.take_phase()
-            out = out_flat[:g.n_targets].copy()
-
-            # -- compute: downward interpolation of grid potentials ------
-            numerics = backend.needs_numerics
-            basis = self._downward_basis(g) if numerics else {}
-            self._downward_pass(
-                g, basis, out_flat, out, device, numerics=numerics
-            )
-            device.download(out.nbytes)
-            phases.compute += device.take_phase()
-
-        return TreecodeResult(
-            potential=out,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-            stats=self._stats(g, sources.n, device),
-        )
-
-    # ------------------------------------------------------------------
     def prepare(
         self,
         sources: ParticleSet,
@@ -430,48 +383,27 @@ class DualTreeTreecode:
         :meth:`PreparedDualTree.apply` then charges the charge upload,
         the moment kernels and the compute phase.
         """
+        return self._prepare(sources, targets, cache_basis=True)
+
+    def _prepare(self, sources, targets, *, cache_basis: bool):
+        """Body of :meth:`prepare`; :meth:`compute` skips the basis
+        cache."""
         params = self.params
-        backend = get_backend(params.backend)
-        target_pos = target_positions(sources, targets)
+        numerics = get_backend(params.backend).needs_numerics
         device = make_device(self.machine, async_streams=self.async_streams)
         phases = PhaseTimes()
         watch = Stopwatch()
-
         with watch:
-            g = self._build_trees(sources.positions, target_pos)
-            device.host_work(
-                sources.n * (g.s_tree.max_level + 1)
-                + target_pos.shape[0] * (g.t_tree.max_level + 1)
+            geometry, basis = self._build_geometry_state(
+                sources.positions, target_positions(sources, targets),
+                device, phases, numerics=numerics, cache_basis=cache_basis,
             )
-            phases.setup += device.take_phase()
-
-            # Geometry upload (positions only; charges travel per apply)
-            # + traversal.
-            device.upload(sources.positions.nbytes + target_pos.nbytes)
-            self._traverse(g)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            moments = prepare_moment_grids(
-                g.s_tree, params, numerics=backend.needs_numerics
-            )
-            self._build_groups(g)
-            plan = self._compile_plan(
-                g, moments, None,
-                numerics=backend.needs_numerics, deferred=True,
-            )
-            basis = (
-                self._downward_basis(g) if backend.needs_numerics else {}
-            )
-
         core = SessionCore(
             kernel=self.kernel,
             params=params,
             backend=params.backend,
             device=device,
-            geometry=GeometryState(
-                plan=plan, tree=g.s_tree, moments=moments, aux=g
-            ),
+            geometry=geometry,
             weight_source=DualTreeWeightSource(),
             n_charges=sources.n,
             # The dual-tree scheme consumes modified charges on-device.
@@ -581,10 +513,9 @@ class PreparedDualTree:
         """Evaluate the prepared geometry for one or many charge vectors.
 
         Re-moments the source clusters on the cached grids (the moment
-        kernels are charged per apply, as in the monolithic pipeline),
-        rewrites the plan's weight buffer in place and runs the
-        accumulation + downward interpolation; no setup time is
-        charged.  An ``(N, n_rhs)`` block evaluates every column in one
+        kernels are charged per apply), rewrites the plan's weight
+        buffer in place and runs the accumulation + downward
+        interpolation; no setup time is charged.  An ``(N, n_rhs)`` block evaluates every column in one
         pass and returns an ``(M, n_rhs)`` potential, column ``j``
         bitwise equal to a solo apply of ``charges[:, j]``.
         """

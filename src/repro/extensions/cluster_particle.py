@@ -170,20 +170,14 @@ class ClusterParticleTreecode:
                 g.group_batches[grp].append(b)
         return g
 
-    def _compile_plan(
-        self,
-        g: _CPGeometry,
-        charges: np.ndarray | None,
-        *,
-        numerics: bool,
-        deferred: bool = False,
-    ):
-        """Compile the accumulation plan over the receiving groups.
+    def _compile_plan(self, g: _CPGeometry, *, numerics: bool):
+        """Compile the geometry-only accumulation plan over the
+        receiving groups.
 
         The share key of every segment is its source-batch index (the
         same rows serve approx and direct receivers), which doubles as
-        the weight-refresh key of a prepared session; ``deferred``
-        compiles the geometry-only skeleton.
+        the weight-refresh key through which each apply fills the
+        weight buffer with that batch's charges.
         """
         params = self.params
         n_ip = params.n_interpolation_points
@@ -191,7 +185,7 @@ class ClusterParticleTreecode:
         builder = PlanBuilder(
             g.n_targets + grid_rows,
             numerics=numerics,
-            deferred_weights=deferred and numerics,
+            deferred_weights=True,
             batched=params.batched,
         )
         src_points_cache: dict[int, np.ndarray] = {}
@@ -226,18 +220,37 @@ class ClusterParticleTreecode:
                     if pts is None:
                         pts = g.batches.batch_points(b)
                         src_points_cache[b] = pts
-                    wts = (
-                        None
-                        if deferred
-                        else charges[g.batches.batch_indices(b)]
-                    )
-                    builder.add_segment(
-                        kind, points=pts, weights=wts, share_key=b
-                    )
+                    builder.add_segment(kind, points=pts, share_key=b)
         return builder.build()
 
-    def _downward_basis(self, g: _CPGeometry) -> dict:
-        return downward_basis(g.tree, g.grids, g.target_pos)
+    def _build_geometry_state(
+        self, source_pos, target_pos, device, phases, *, numerics: bool
+    ):
+        """Build the full charge-independent geometry on ``device``.
+
+        The body of :meth:`prepare`, shared with the rebuild updater:
+        charges the setup phase for the tree builds, the position
+        upload (charges travel per apply) and the traversal, compiles
+        the plan skeleton and evaluates the downward interpolation
+        basis.  Returns ``(GeometryState, basis)``.
+        """
+        g = self._build_geometry(source_pos, target_pos)
+        device.host_work(
+            g.n_targets * (g.tree.max_level + 1)
+            + source_pos.shape[0] * (g.batches.max_level + 1)
+        )
+        phases.setup += device.take_phase()
+        device.upload(source_pos.nbytes + target_pos.nbytes)
+        device.host_work(g.mac_evals * 4)
+        phases.setup += device.take_phase()
+        plan = self._compile_plan(g, numerics=numerics)
+        basis = (
+            downward_basis(g.tree, g.grids, g.target_pos) if numerics else {}
+        )
+        state = GeometryState(
+            plan=plan, tree=g.tree, batches=g.batches, lists=g.lists, aux=g
+        )
+        return state, basis
 
     # -- dynamic-geometry hooks (see repro.core.dynamic) ----------------
     def _session_positions(self, core):
@@ -246,29 +259,12 @@ class ClusterParticleTreecode:
         return g.batches.positions, g.target_pos
 
     def _rebuild_geometry_state(self, core, source_pos, target_pos, phases):
-        """Rebuild the full geometry on the session's device.
-
-        Charges the same setup work as :meth:`prepare` (the updater
-        adds the source-position upload) and returns the new state plus
-        the refreshed downward basis for the shell to adopt.
-        """
-        device = core.device
-        numerics = core.geometry.plan.has_numerics
-        g = self._build_geometry(source_pos, target_pos)
-        device.host_work(
-            g.n_targets * (g.tree.max_level + 1)
-            + source_pos.shape[0] * (g.batches.max_level + 1)
+        """Rebuild the full geometry on the session's device, charging
+        the same setup work as :meth:`prepare`."""
+        return self._build_geometry_state(
+            source_pos, target_pos, core.device, phases,
+            numerics=core.geometry.plan.has_numerics,
         )
-        phases.setup += device.take_phase()
-        device.upload(target_pos.nbytes)
-        device.host_work(g.mac_evals * 4)
-        phases.setup += device.take_phase()
-        plan = self._compile_plan(g, None, numerics=numerics, deferred=True)
-        basis = self._downward_basis(g) if numerics else {}
-        state = GeometryState(
-            plan=plan, tree=g.tree, batches=g.batches, lists=g.lists, aux=g
-        )
-        return state, basis
 
     def _downward_pass(
         self, g, basis, out_flat, out, device, *, numerics: bool = True
@@ -304,62 +300,24 @@ class ClusterParticleTreecode:
             "busy_by_kind": dict(c.busy_by_kind),
         }
 
-
     # ------------------------------------------------------------------
     def compute(
         self,
         sources: ParticleSet,
         targets: np.ndarray | ParticleSet | None = None,
     ) -> TreecodeResult:
-        """Potential at every target due to all sources."""
-        params = self.params
-        backend = get_backend(params.backend)
-        target_pos = target_positions(sources, targets)
-        device = make_device(self.machine, async_streams=self.async_streams)
-        phases = PhaseTimes()
-        watch = Stopwatch()
+        """Potential at every target due to all sources.
 
-        with watch:
-            # -- setup: TARGET cluster tree + SOURCE batches -------------
-            g = self._build_geometry(sources.positions, target_pos)
-            device.host_work(
-                g.n_targets * (g.tree.max_level + 1)
-                + sources.n * (g.batches.max_level + 1)
-            )
-            phases.setup += device.take_phase()
+        Implemented as :meth:`prepare` + one
+        :meth:`PreparedClusterParticle.apply`; the phases are the
+        prepare phases plus the apply phases.
+        """
+        session = self.prepare(sources, targets)
+        result = session.apply(sources.charges)
+        result.phases = session.phases + result.phases
+        result.wall_seconds += session.wall_seconds
+        return result
 
-            # -- setup: traversal (source batch vs target tree) ---------
-            device.upload(sources.nbytes() + target_pos.nbytes)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            # -- plan + compute: backend runs the accumulation plan ------
-            plan = self._compile_plan(
-                g, sources.charges, numerics=backend.needs_numerics
-            )
-            out_flat, _ = backend.execute(
-                plan, self.kernel, device, dtype=params.dtype
-            )
-            phases.compute += device.take_phase()
-            out = out_flat[:g.n_targets].copy()
-
-            # -- compute: downward barycentric interpolation -------------
-            numerics = backend.needs_numerics
-            basis = self._downward_basis(g) if numerics else {}
-            self._downward_pass(
-                g, basis, out_flat, out, device, numerics=numerics
-            )
-            device.download(out.nbytes)
-            phases.compute += device.take_phase()
-
-        return TreecodeResult(
-            potential=out,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-            stats=self._stats(g, sources.n, device),
-        )
-
-    # ------------------------------------------------------------------
     def prepare(
         self,
         sources: ParticleSet,
@@ -374,42 +332,21 @@ class ClusterParticleTreecode:
         charge upload, the accumulation launches and the downward pass.
         """
         params = self.params
-        backend = get_backend(params.backend)
+        numerics = get_backend(params.backend).needs_numerics
         device = make_device(self.machine, async_streams=self.async_streams)
-        target_pos = target_positions(sources, targets)
         phases = PhaseTimes()
         watch = Stopwatch()
-
         with watch:
-            g = self._build_geometry(sources.positions, target_pos)
-            device.host_work(
-                g.n_targets * (g.tree.max_level + 1)
-                + sources.n * (g.batches.max_level + 1)
+            geometry, basis = self._build_geometry_state(
+                sources.positions, target_positions(sources, targets),
+                device, phases, numerics=numerics,
             )
-            phases.setup += device.take_phase()
-
-            # Geometry upload: source/target positions only; charges
-            # travel per apply.
-            device.upload(sources.positions.nbytes + target_pos.nbytes)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            plan = self._compile_plan(
-                g, None, numerics=backend.needs_numerics, deferred=True
-            )
-            basis = (
-                self._downward_basis(g) if backend.needs_numerics else {}
-            )
-
         core = SessionCore(
             kernel=self.kernel,
             params=params,
             backend=params.backend,
             device=device,
-            geometry=GeometryState(
-                plan=plan, tree=g.tree, batches=g.batches,
-                lists=g.lists, aux=g,
-            ),
+            geometry=geometry,
             weight_source=BatchChargeWeightSource(),
             n_charges=sources.n,
             geometry_updater=RebuildGeometryUpdater(self),

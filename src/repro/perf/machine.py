@@ -89,8 +89,8 @@ class MachineSpec:
         ``float32`` runs ``sp_dp_ratio``-times faster than the double-
         precision baseline (the paper's mixed-precision future-work mode);
         every other dtype costs the double-precision baseline.  This is
-        the single home of the half-cost rule: the executor, the plan
-        charger and the direct-sum baseline all consult it.
+        the single home of the half-cost rule: the plan launch charger
+        and the direct-sum baseline both consult it.
         """
         if np.dtype(dtype) == np.float32:
             return 1.0 / self.sp_dp_ratio

@@ -25,7 +25,7 @@ class TargetBatches:
 
     Thin wrapper over a :class:`ClusterTree` built on the target particles
     with leaf cap ``NB``; the batches are the tree's leaves.  Exposes the
-    per-batch quantities the MAC and the executor need.
+    per-batch quantities the MAC and the execution plan need.
     """
 
     def __init__(

@@ -247,7 +247,7 @@ class TestSharedSourceGather:
     """The single plan layout: de-duplicated source buffers."""
 
     def test_buffers_deduplicated_on_shared_workload(self, shared_plan):
-        assert shared_plan.shared_sources
+        assert shared_plan.seg_src_lo is not None
         # Clusters referenced by many batches are stored once: strictly
         # fewer physical rows than logical (aliased) rows.
         assert shared_plan.source_buffer_rows < shared_plan.n_source_rows
@@ -277,12 +277,6 @@ class TestSharedSourceGather:
             assert np.array_equal(pts, np.concatenate(parts_p))
             assert np.array_equal(wts, np.concatenate(parts_w))
 
-    def test_params_shared_sources_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="shared_sources"):
-            _params(shared_sources=True)
-        with pytest.warns(DeprecationWarning, match="shared_sources"):
-            _params(shared_sources=False)
-
     def test_builder_reuse_skips_regather(self):
         b = PlanBuilder(4, numerics=True)
         pts = np.arange(6.0).reshape(2, 3)
@@ -294,7 +288,7 @@ class TestSharedSourceGather:
         assert b.has_shared(("direct", 7))
         b.add_segment("direct", share_key=("direct", 7))
         plan = b.build()
-        assert plan.shared_sources
+        assert plan.seg_src_lo is not None
         assert plan.n_segments == 2
         assert plan.n_source_rows == 4          # logical: 2 rows x 2 aliases
         assert plan.source_buffer_rows == 2     # physical: stored once
@@ -1034,22 +1028,6 @@ class TestPipelineEquivalence:
             CoulombKernel(), _params(backend="fused")
         ).compute(cube, dry_run=True)
         assert np.all(res.potential == 0.0)
-
-    def test_shared_sources_flag_deprecated_noop(self, cube):
-        # The retired flag still round-trips through with_() (warning
-        # included) and changes nothing about the results.
-        params = _params(degree=5)
-        ref = BarycentricTreecode(YukawaKernel(0.5), params).compute(
-            cube, compute_forces=True
-        )
-        with pytest.warns(DeprecationWarning, match="shared_sources"):
-            dep_params = params.with_(shared_sources=True)
-        shared = BarycentricTreecode(
-            YukawaKernel(0.5), dep_params
-        ).compute(cube, compute_forces=True)
-        assert np.array_equal(ref.potential, shared.potential)
-        assert np.array_equal(ref.forces, shared.forces)
-        assert shared.phases.compute == pytest.approx(ref.phases.compute)
 
     def test_distributed_backend_param(self, cube):
         params = _params()

@@ -2,8 +2,10 @@
 
 Contracts under test:
 
-* ``compute()`` IS ``prepare()`` + one ``apply()`` -- bitwise-identical
-  potentials/forces on every executing backend and both dtypes.
+* ``compute()`` IS ``prepare()`` + one ``apply()`` on every driver --
+  bitwise-identical potentials/forces on every executing backend and
+  both dtypes, and phases equal to the prepare phases plus the apply
+  phases.
 * a second ``apply()`` with mutated charges equals a fresh ``compute()``
   with those charges bitwise, and charges **zero setup-phase device
   time** (the amortization the session exists for).
@@ -34,6 +36,7 @@ from repro import (
 )
 from repro.core.backends.numba_backend import NUMBA_AVAILABLE
 from repro.core.plan import PlanBuilder
+from repro.experiments.common import retime_distributed
 
 EXEC_BACKENDS = ["numpy", "fused", "batched", "multiprocessing"] + (
     ["numba"] if NUMBA_AVAILABLE else []
@@ -466,6 +469,36 @@ class TestDistributedSession:
         assert all(p.setup == 0.0 for p in res2.rank_phases)
         assert res2.total_seconds < fresh.total_seconds
 
+    @pytest.mark.parametrize(
+        "dry_run, overlap",
+        [(False, False), (True, False), (False, True)],
+        ids=["real", "dry_run", "overlap_comm"],
+    )
+    def test_compute_is_prepare_plus_apply(self, big, dry_run, overlap):
+        d = DistributedBLTC(
+            CoulombKernel(), _params(), n_ranks=3, overlap_comm=overlap
+        )
+        res = d.compute(big, dry_run=dry_run, compute_forces=True)
+        sess = d.prepare(big, dry_run=dry_run)
+        manual = sess.apply(big.charges, dry_run=dry_run, compute_forces=True)
+        assert np.array_equal(res.potential, manual.potential)
+        assert np.array_equal(res.forces, manual.forces)
+        # Per rank: compute() phases == prepare phases + apply phases.
+        assert len(res.rank_phases) == 3
+        for full, prep, app in zip(
+            res.rank_phases, sess.phases, manual.rank_phases
+        ):
+            assert full.setup == prep.setup + app.setup
+            assert full.precompute == prep.precompute + app.precompute
+            assert full.compute == prep.compute + app.compute
+        assert res.stats["phase_split"] == sess.split
+        assert res.stats["per_rank"] == manual.stats["per_rank"]
+        assert res.stats["total_rma_bytes"] == manual.stats["total_rma_bytes"]
+        # The barrier total is the one the experiment harnesses re-time.
+        kernel = CoulombKernel()
+        total, _ = retime_distributed(res, kernel, kernel, d.machine)
+        assert total == res.total_seconds
+
     @pytest.fixture(scope="class")
     def new_charges_big(self, big):
         rng = np.random.default_rng(74)
@@ -501,6 +534,24 @@ class TestDistributedSession:
 
 
 class TestExtensionSessions:
+    @pytest.mark.parametrize(
+        "make",
+        [ClusterParticleTreecode, DualTreeTreecode],
+        ids=["cluster_particle", "dual_tree"],
+    )
+    def test_compute_is_prepare_plus_apply(self, make):
+        srcs = random_cube(900, seed=81)
+        tgts = random_cube(1800, seed=82)
+        drv = make(YukawaKernel(0.5), _params(degree=3))
+        res = drv.compute(srcs, tgts)
+        sess = drv.prepare(srcs, tgts)
+        manual = sess.apply(srcs.charges)
+        assert np.array_equal(res.potential, manual.potential)
+        assert res.phases.setup == sess.phases.setup
+        assert res.phases.precompute == manual.phases.precompute
+        assert res.phases.compute == manual.phases.compute
+        assert res.stats == manual.stats
+
     def test_cluster_particle_session(self):
         srcs = random_cube(900, seed=75)
         tgts = random_cube(2400, seed=76)
